@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: all build test check fmt vet vet-invariants race equivalence bench-smoke bench-telemetry bench-parallel bench-hotpath bench-fleet bench-trace bench-replay bench-mpsc bench-cluster fuzz
+.PHONY: all build test check fmt vet vet-invariants race equivalence bench-smoke perfbench-selftest bench-telemetry bench-parallel bench-hotpath bench-fleet bench-trace bench-replay bench-mpsc bench-cluster fuzz
 
 all: build
 
@@ -17,7 +17,7 @@ build:
 test:
 	$(GO) test ./...
 
-check: vet vet-invariants fmt race equivalence bench-smoke
+check: vet vet-invariants fmt race equivalence bench-smoke perfbench-selftest
 
 vet:
 	$(GO) vet ./...
@@ -60,6 +60,13 @@ equivalence:
 # gate failure rather than a surprise at measurement time.
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
+
+# The end-to-end benchmark (perfbench/, its own module building this one
+# through a replace directive) checks its build, reference digests and report
+# shape in its own tests; running them here catches a root-module change
+# that breaks the benchmark before measurement does.
+perfbench-selftest:
+	cd perfbench && $(GO) test ./...
 
 # Regenerate the telemetry micro-benchmark numbers (see results/BENCH_telemetry.json).
 bench-telemetry:

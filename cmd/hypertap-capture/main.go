@@ -13,12 +13,13 @@
 //	    and ticks per VM, wall and virtual extent.
 //	hypertap-capture replay stream.htcs [-strict -json]
 //	    re-drives the fleet auditor plane (per-VM GOSHD + fleetwatch) from
-//	    the stream and reports the verdicts.
+//	    the stream via experiment.ReplayStream and reports the verdicts.
 //	hypertap-capture replay -bundle dir [-threshold D -json]
 //	    same, from an incident bundle's capture.htcs (campaigns run with
 //	    Capture record one) via experiment.ReplayIncidentStream.
 //
-// Real captures come out of incident bundles; synthetic ones out of record.
+// Real captures come out of incident bundles and cmd/hypertap -capture;
+// synthetic ones out of record.
 package main
 
 import (
@@ -30,8 +31,6 @@ import (
 	"os"
 	"time"
 
-	"hypertap/internal/auditors/fleetwatch"
-	"hypertap/internal/auditors/goshd"
 	"hypertap/internal/capture"
 	"hypertap/internal/core"
 	"hypertap/internal/experiment"
@@ -230,7 +229,7 @@ func runReplay(args []string) error {
 			return err
 		}
 		defer f.Close()
-		r, err := replayStream(f, *threshold, *strict)
+		r, err := experiment.ReplayStream(f, experiment.StreamReplayConfig{Threshold: *threshold, Strict: *strict})
 		if err != nil {
 			return err
 		}
@@ -247,56 +246,4 @@ func runReplay(args []string) error {
 		fmt.Printf("  %-12s %8d events  %d goshd alarms\n", vm.Name, vm.Events, vm.Alarms)
 	}
 	return nil
-}
-
-// replayStream re-drives the fleet auditor plane from a raw capture stream —
-// the same wiring ReplayIncidentStream uses for bundles.
-func replayStream(f *os.File, threshold time.Duration, strict bool) (*experiment.StreamReplayReport, error) {
-	rp, err := capture.NewReplay(f, capture.ReplayConfig{Strict: strict})
-	if err != nil {
-		return nil, err
-	}
-	em := rp.EM()
-	hdr := rp.Header()
-	dets := make([]*goshd.Detector, len(hdr.VMs))
-	for j := range dets {
-		// Cluster (v2) captures carry sparse VMIDs — scope each detector to
-		// the header's recorded ID, not the table slot.
-		vm := hdr.VMs[j].ID
-		det, err := goshd.New(goshd.Config{
-			VM:        vm,
-			Clock:     rp.Clock(vm),
-			VCPUs:     hdr.VMs[j].VCPUs,
-			Threshold: threshold,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if err := em.RegisterAuditor(det, core.DeliverAsync, 0); err != nil {
-			return nil, err
-		}
-		dets[j] = det
-	}
-	fw := fleetwatch.New(fleetwatch.Config{VMName: em.VMName})
-	if err := em.RegisterAuditor(fw, core.DeliverAsync, 1<<16); err != nil {
-		return nil, err
-	}
-	for _, det := range dets {
-		det.Start()
-	}
-	if err := rp.Run(); err != nil {
-		return nil, err
-	}
-	rep := &experiment.StreamReplayReport{Host: hdr.Host, Divergences: rp.Divergences()}
-	for j := range hdr.VMs {
-		vm := experiment.StreamVMReport{
-			Name:   hdr.VMs[j].Name,
-			Events: em.PublishedVM(hdr.VMs[j].ID),
-			Alarms: len(dets[j].Alarms()),
-		}
-		rep.VMs = append(rep.VMs, vm)
-		rep.Events += vm.Events
-	}
-	rep.Storms = len(fw.Storms())
-	return rep, nil
 }

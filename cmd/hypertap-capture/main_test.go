@@ -7,12 +7,13 @@ import (
 	"time"
 
 	"hypertap/internal/capture"
+	"hypertap/internal/experiment"
 )
 
-// TestReplayStreamHosted pins the CLI replay path against cluster-era (v2)
-// captures: the auditor wiring must scope to the header's sparse VMIDs, not
-// the table slots — a slot-indexed Clock/PublishedVM lookup panics or tallies
-// zero events here.
+// TestReplayStreamHosted pins the CLI replay path (experiment.ReplayStream)
+// against cluster-era (v2) captures: the auditor wiring must scope to the
+// header's sparse VMIDs, not the table slots — a slot-indexed
+// Clock/PublishedVM lookup panics or tallies zero events here.
 func TestReplayStreamHosted(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "hosted.htcs")
 	data := capture.GenerateHosted(7, 2, 2, 400, time.Millisecond, "host1", 4)
@@ -24,7 +25,7 @@ func TestReplayStreamHosted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	rep, err := replayStream(f, 100*time.Millisecond, false)
+	rep, err := experiment.ReplayStream(f, experiment.StreamReplayConfig{Threshold: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 	"hypertap/internal/auditors/goshd"
 	"hypertap/internal/auditors/hrkd"
 	"hypertap/internal/auditors/ped"
+	"hypertap/internal/capture"
 	"hypertap/internal/core"
 	"hypertap/internal/core/intercept"
 	"hypertap/internal/flight"
@@ -23,10 +24,21 @@ import (
 	"hypertap/internal/host"
 	"hypertap/internal/telemetry"
 	"hypertap/internal/telemetry/httpexport"
-	"hypertap/internal/trace"
 	"hypertap/internal/vmi"
 	"hypertap/internal/workload"
 )
+
+// countingTap counts the events a capture records, for the exit report.
+// Taps run on the host's single-threaded schedule, so a plain counter does.
+type countingTap struct {
+	*capture.Recorder
+	events uint64
+}
+
+func (t *countingTap) TapEvent(ev *core.Event) {
+	t.events++
+	t.Recorder.TapEvent(ev)
+}
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -48,7 +60,7 @@ func run(args []string) error {
 		sysenter  = fs.Bool("sysenter", false, "use the fast-syscall gate instead of INT 0x80")
 		tailEvent = fs.Int("tail", 20, "print the first N decoded events per type")
 		withRHC   = fs.Bool("rhc", false, "start a Remote Health Checker and heartbeat to it over TCP")
-		traceFile = fs.String("trace", "", "record the event stream to a JSONL trace file")
+		capFile   = fs.String("capture", "", "record the decoded exit stream to this .htcs capture file (replay with hypertap-capture or trace-analyze)")
 		telAddr   = fs.String("telemetry-addr", "", "serve /metrics, /healthz, /flight and /debug/pprof on this address (e.g. 127.0.0.1:9090)")
 		seed      = fs.Int64("seed", 1, "deterministic seed (VM i runs at seed+i)")
 		flightDir = fs.String("flight-dir", "", "drain the flight recorder into a bundle under this directory at exit")
@@ -61,8 +73,8 @@ func run(args []string) error {
 		return fmt.Errorf("-vms must be at least 1, got %d", *vms)
 	}
 	if *hosts > 1 {
-		if *withRHC || *traceFile != "" || *telAddr != "" || *flightDir != "" {
-			return fmt.Errorf("-rhc, -trace, -telemetry-addr and -flight-dir are single-host flags; not supported with -hosts=%d", *hosts)
+		if *withRHC || *capFile != "" || *telAddr != "" || *flightDir != "" {
+			return fmt.Errorf("-rhc, -capture, -telemetry-addr and -flight-dir are single-host flags; not supported with -hosts=%d", *hosts)
 		}
 		return runCluster(clusterOpts{
 			hosts: *hosts, vms: *vms, vcpus: *vcpus,
@@ -116,21 +128,27 @@ func run(args []string) error {
 		return err
 	}
 
-	// Optional trace recording (offline analysis via cmd/trace-analyze).
-	if *traceFile != "" {
-		f, err := os.Create(*traceFile)
+	// Optional exit-stream capture, tapped at decode before boot so it sees
+	// every event, tick and barrier (offline analysis via cmd/trace-analyze
+	// and cmd/hypertap-capture).
+	var capRec *countingTap
+	if *capFile != "" {
+		f, err := os.Create(*capFile)
 		if err != nil {
 			return err
 		}
-		rec := trace.NewRecorder(f, core.MaskAll)
-		if err := em.Register(rec, core.DeliverAsync, 0); err != nil {
+		defer func() { _ = f.Close() }()
+		hdr := capture.Header{Host: h.Name(), Tick: time.Millisecond}
+		for i := 0; i < *vms; i++ {
+			m := h.Machine(i)
+			hdr.VMs = append(hdr.VMs, capture.VMHeader{ID: m.VMID(), Name: m.Name(), VCPUs: m.NumVCPUs()})
+		}
+		rec, err := capture.NewRecorder(f, hdr)
+		if err != nil {
 			return err
 		}
-		defer func() {
-			_ = rec.Flush()
-			_ = f.Close()
-			fmt.Printf("trace: %d events written to %s\n", rec.Count(), *traceFile)
-		}()
+		capRec = &countingTap{Recorder: rec}
+		h.SetExitTap(capRec)
 	}
 
 	// Per-VM GOSHD detectors, registered (VM-scoped) before boot so no
@@ -264,6 +282,12 @@ func run(args []string) error {
 
 	fmt.Printf("\ndone: %v virtual in %v real (%.0fx)\n", *duration, real.Round(time.Millisecond),
 		duration.Seconds()/real.Seconds())
+	if capRec != nil {
+		if err := capRec.Finish(); err != nil {
+			return err
+		}
+		fmt.Printf("capture: %d events written to %s\n", capRec.events, *capFile)
+	}
 
 	// Quiesce the RHC before the final drain: heartbeats travel over real
 	// TCP, so the last beats sent during the run may still be in flight when

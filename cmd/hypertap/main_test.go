@@ -1,17 +1,21 @@
 package main
 
 import (
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"hypertap/internal/capture"
+	"hypertap/internal/core"
 	"hypertap/internal/flight"
 )
 
 // TestSmokeDefaults drives the binary in-process with a short run and the
 // documented flag defaults: flight recording on (-flight-depth 0 = 1024-deep
-// rings), a bundle drained at exit, and a JSONL trace alongside it.
+// rings), a bundle drained at exit, and an exit-stream capture alongside it.
 func TestSmokeDefaults(t *testing.T) {
 	dir := t.TempDir()
 	args := []string{
@@ -20,7 +24,7 @@ func TestSmokeDefaults(t *testing.T) {
 		"-tail", "0",
 		"-telemetry-addr", "127.0.0.1:0",
 		"-rhc",
-		"-trace", filepath.Join(dir, "run.jsonl"),
+		"-capture", filepath.Join(dir, "run.htcs"),
 		"-flight-dir", filepath.Join(dir, "flight"),
 	}
 	if err := run(args); err != nil {
@@ -53,8 +57,45 @@ func TestSmokeDefaults(t *testing.T) {
 	if b.Telemetry == nil {
 		t.Error("bundle is missing the telemetry snapshot")
 	}
-	if data, err := os.ReadFile(filepath.Join(dir, "run.jsonl")); err != nil || len(data) == 0 {
-		t.Errorf("trace file: err=%v len=%d", err, len(data))
+
+	// The capture decodes as a whole: both VMs' events, then the end marker.
+	f, err := os.Open(filepath.Join(dir, "run.htcs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rd, err := capture.NewReader(f)
+	if err != nil {
+		t.Fatalf("capture header: %v", err)
+	}
+	if n := len(rd.Header().VMs); n != 2 {
+		t.Fatalf("capture header lists %d VMs, want 2", n)
+	}
+	events := map[core.VMID]int{}
+	ended := false
+	var rec capture.Record
+	for {
+		err := rd.Next(&rec)
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatalf("capture record: %v", err)
+		}
+		switch capture.KindName(rec.Kind) {
+		case "event":
+			events[rec.Event.VM]++
+		case "end":
+			ended = true
+		}
+	}
+	for _, vm := range rd.Header().VMs {
+		if events[vm.ID] == 0 {
+			t.Errorf("capture holds no events for %s", vm.Name)
+		}
+	}
+	if !ended {
+		t.Error("capture has no end marker")
 	}
 }
 

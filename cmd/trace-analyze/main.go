@@ -1,17 +1,20 @@
 // Command trace-analyze performs offline analysis of a recorded HyperTap
-// event trace (cmd/hypertap -trace): a summary of the captured activity,
-// plus an offline GOSHD pass that finds guest hangs after the fact —
-// event-trace forensics in the Ether tradition the paper builds on.
+// exit stream: a .htcs capture (cmd/hypertap -capture) or an incident-bundle
+// directory (internal/flight) whose campaign recorded one. It prints a
+// summary of the captured activity, then re-judges the stream through the
+// fleet auditor plane (experiment.ReplayStream) — offline GOSHD finds guest
+// hangs after the fact, event-stream forensics in the Ether tradition the
+// paper builds on.
 //
-// With -chrome-trace it converts the input to the Chrome trace-event format
-// for ui.perfetto.dev; the input may also be an incident-bundle directory
-// (internal/flight), in which case the flight rings and causal spans are
-// rendered instead of a JSONL stream.
+// With -chrome-trace it renders the input as Chrome trace-event JSON for
+// ui.perfetto.dev: a capture's events on per-VM tracks, or a bundle's flight
+// rings and causal spans.
 package main
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -19,238 +22,278 @@ import (
 	"sort"
 	"time"
 
-	"hypertap/internal/auditors/goshd"
+	"hypertap/internal/arch"
 	"hypertap/internal/capture"
 	"hypertap/internal/core"
+	"hypertap/internal/experiment"
 	"hypertap/internal/flight"
 	"hypertap/internal/guest"
 	"hypertap/internal/telemetry"
-	"hypertap/internal/trace"
-	"hypertap/internal/vclock"
 )
 
-// summarizeCapture tallies a bundle's recorded exit stream (capture.htcs):
-// per-VM event counts and the stream's virtual extent. A truncated tail is
-// normal — incident bundles snapshot the stream mid-run — so decoding stops
-// quietly at the cut.
-func summarizeCapture(data []byte) error {
+// vmTally is one recorded VM's share of a stream.
+type vmTally struct {
+	ID     core.VMID
+	Name   string
+	VCPUs  int
+	Events int64
+}
+
+// summary is one walk over a capture's records.
+type summary struct {
+	Version int
+	Host    string
+	VMs     []vmTally
+	// Events counts every event record; the per-VM tallies sum to it for a
+	// stream whose events all name header VMs.
+	Events     int64
+	ByType     map[core.EventType]int64
+	Syscalls   map[uint32]int64
+	AddrSpaces int
+	Extent     time.Duration
+	Ended      bool
+	// Cut is the decode error that stopped the walk before a clean EOF.
+	// Incident bundles snapshot the stream mid-run, so a truncated tail is
+	// reported, not fatal.
+	Cut error
+	// events holds the decoded events when the walk was asked to keep them.
+	events []core.Event
+}
+
+// summarize walks a capture once. Cluster (v2) streams carry sparse VMIDs,
+// so the per-VM tally is keyed by the header's recorded ID, never indexed by
+// it.
+func summarize(data []byte, keepEvents bool) (*summary, error) {
 	rd, err := capture.NewReader(bytes.NewReader(data))
 	if err != nil {
-		return fmt.Errorf("capture stream: %w", err)
+		return nil, fmt.Errorf("capture stream: %w", err)
 	}
 	hdr := rd.Header()
-	events := make([]int64, len(hdr.VMs))
-	var extent time.Duration
+	s := &summary{
+		Version:  rd.Version(),
+		Host:     hdr.Host,
+		ByType:   make(map[core.EventType]int64),
+		Syscalls: make(map[uint32]int64),
+	}
+	slot := make(map[core.VMID]int, len(hdr.VMs))
+	for _, vm := range hdr.VMs {
+		slot[vm.ID] = len(s.VMs)
+		s.VMs = append(s.VMs, vmTally{ID: vm.ID, Name: vm.Name, VCPUs: vm.VCPUs})
+	}
+	type addrSpace struct {
+		vm   core.VMID
+		pdba arch.GPA
+	}
+	spaces := make(map[addrSpace]struct{})
 	var rec capture.Record
 	for {
 		if err := rd.Next(&rec); err != nil {
+			if !errors.Is(err, io.EOF) {
+				s.Cut = err
+			}
 			break
 		}
-		if capture.KindName(rec.Kind) == "event" {
-			if int(rec.Event.VM) < len(events) {
-				events[rec.Event.VM]++
+		switch capture.KindName(rec.Kind) {
+		case "event":
+			ev := &rec.Event
+			s.Events++
+			if i, ok := slot[ev.VM]; ok {
+				s.VMs[i].Events++
 			}
-			if rec.Event.Time > extent {
-				extent = rec.Event.Time
+			s.ByType[ev.Type]++
+			switch ev.Type {
+			case core.EvSyscall:
+				s.Syscalls[ev.SyscallNr]++
+			case core.EvProcessSwitch:
+				spaces[addrSpace{ev.VM, ev.PDBA}] = struct{}{}
 			}
+			s.Extent = max(s.Extent, ev.Time)
+			if keepEvents {
+				s.events = append(s.events, *ev)
+			}
+		case "tick":
+			s.Extent = max(s.Extent, rec.Now)
+		case "end":
+			// Keep walking: epilogue view records trail the end marker.
+			s.Ended = true
 		}
 	}
-	fmt.Printf("  capture stream: %d bytes, %d VMs, virtual extent %v\n",
-		len(data), len(hdr.VMs), extent.Round(time.Millisecond))
-	for i, vm := range hdr.VMs {
-		fmt.Printf("    %-12s %d vCPUs  %8d events\n", vm.Name, vm.VCPUs, events[i])
-	}
-	return nil
+	s.AddrSpaces = len(spaces)
+	return s, nil
 }
 
-// writeMetrics dumps the registry snapshot as indented JSON.
-func writeMetrics(dst string, reg *telemetry.Registry) error {
-	w := os.Stdout
-	if dst != "-" {
-		f, err := os.Create(dst)
-		if err != nil {
-			return err
+// vmNames labels Chrome tracks by VMID (sparse IDs leave unused gaps).
+func (s *summary) vmNames() []string {
+	var names []string
+	for _, vm := range s.VMs {
+		for int(vm.ID) >= len(names) {
+			names = append(names, "")
 		}
-		defer func() { _ = f.Close() }()
-		w = f
+		names[vm.ID] = vm.Name
 	}
-	snap := reg.Snapshot()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(&snap)
+	return names
 }
 
-// writeChrome writes one Chrome trace-event rendering to dst (- for stdout).
-func writeChrome(dst string, fill func(io.Writer) error) error {
-	w := io.Writer(os.Stdout)
-	if dst != "-" {
-		f, err := os.Create(dst)
-		if err != nil {
-			return err
-		}
-		defer func() { _ = f.Close() }()
-		w = f
+func (s *summary) print(w io.Writer) {
+	fmt.Fprintf(w, "  capture: format v%d", s.Version)
+	if s.Host != "" {
+		fmt.Fprintf(w, ", host %s", s.Host)
 	}
-	if err := fill(w); err != nil {
+	fmt.Fprintf(w, ", %d events over %v, clean end marker: %v\n",
+		s.Events, s.Extent.Round(time.Millisecond), s.Ended)
+	if s.Cut != nil {
+		fmt.Fprintf(w, "  stream ends early: %v\n", s.Cut)
+	}
+	for _, vm := range s.VMs {
+		fmt.Fprintf(w, "    %-12s vmid %-5d %d vCPUs  %8d events\n", vm.Name, vm.ID, vm.VCPUs, vm.Events)
+	}
+	fmt.Fprintln(w, "\nevents by type:")
+	types := make([]core.EventType, 0, len(s.ByType))
+	for ty := range s.ByType {
+		types = append(types, ty)
+	}
+	sort.Slice(types, func(i, j int) bool { return types[i].String() < types[j].String() })
+	for _, ty := range types {
+		fmt.Fprintf(w, "  %-16v %8d\n", ty, s.ByType[ty])
+	}
+	if len(s.Syscalls) > 0 {
+		fmt.Fprintln(w, "\ntop system calls:")
+		nrs := make([]uint32, 0, len(s.Syscalls))
+		for nr := range s.Syscalls {
+			nrs = append(nrs, nr)
+		}
+		sort.Slice(nrs, func(i, j int) bool {
+			if a, b := s.Syscalls[nrs[i]], s.Syscalls[nrs[j]]; a != b {
+				return a > b
+			}
+			return nrs[i] < nrs[j]
+		})
+		for _, nr := range nrs[:min(len(nrs), 8)] {
+			fmt.Fprintf(w, "  %-16v %8d\n", guest.Syscall(nr), s.Syscalls[nr])
+		}
+	}
+	fmt.Fprintf(w, "\ndistinct address spaces observed: %d\n", s.AddrSpaces)
+}
+
+// writeTo writes fill's output to the file dst, or to out for "-".
+func writeTo(dst string, out io.Writer, fill func(io.Writer) error) error {
+	if dst == "-" {
+		return fill(out)
+	}
+	f, err := os.Create(dst)
+	if err != nil {
 		return err
 	}
-	if dst != "-" {
-		fmt.Println("chrome trace written to", dst, "(open at https://ui.perfetto.dev)")
+	if err := fill(f); err != nil {
+		_ = f.Close()
+		return err
 	}
-	return nil
+	return f.Close()
 }
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "trace-analyze:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run is main's body with its own FlagSet and output, so tests drive it
+// in-process.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("trace-analyze", flag.ContinueOnError)
 	var (
-		vcpus     = flag.Int("vcpus", 2, "vCPU count of the traced VM")
-		threshold = flag.Duration("threshold", 4*time.Second, "offline GOSHD threshold")
-		metricsTo = flag.String("metrics", "", "write a telemetry snapshot of the replay as JSON to this file (- for stdout)")
-		chromeTo  = flag.String("chrome-trace", "", "write a Chrome trace-event JSON rendering (Perfetto-viewable) to this file (- for stdout)")
+		threshold = fs.Duration("threshold", 4*time.Second, "offline GOSHD threshold")
+		metricsTo = fs.String("metrics", "", "write a telemetry snapshot of the replay as JSON to this file (- for stdout)")
+		chromeTo  = fs.String("chrome-trace", "", "write a Chrome trace-event JSON rendering (Perfetto-viewable) to this file (- for stdout)")
 	)
-	flag.Parse()
-	if flag.NArg() != 1 {
-		return fmt.Errorf("usage: trace-analyze [flags] <trace.jsonl | incident-bundle-dir>")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-	path := flag.Arg(0)
+	if fs.NArg() != 1 {
+		return fmt.Errorf("usage: trace-analyze [flags] <capture.htcs | incident-bundle-dir>")
+	}
+	path := fs.Arg(0)
 
-	// An incident bundle is a directory; everything in it is already decoded,
-	// so the analyses offered are the summary, the Chrome export, and — when
-	// the campaign recorded its exit stream — a tally of the capture.
+	// An incident bundle is a directory: its flight rings and spans are
+	// already decoded, and its exit stream — when the campaign recorded
+	// one — is analyzed like a capture file.
+	var bundle *flight.Bundle
+	var data []byte
 	if st, err := os.Stat(path); err == nil && st.IsDir() {
-		b, err := flight.LoadBundle(path)
-		if err != nil {
+		if bundle, err = flight.LoadBundle(path); err != nil {
 			return err
 		}
 		n := 0
-		for _, exits := range b.Exits {
+		for _, exits := range bundle.Exits {
 			n += len(exits)
 		}
-		fmt.Printf("bundle %s: kind %s, %d exit records across %d rings, %d spans\n",
-			path, b.Meta.Kind, n, len(b.Exits), len(b.Spans))
-		if len(b.Capture) > 0 {
-			if err := summarizeCapture(b.Capture); err != nil {
-				return err
-			}
-			fmt.Printf("  replay the auditor plane from it: hypertap-capture replay -bundle %s\n", path)
+		fmt.Fprintf(out, "bundle %s: kind %s, %d exit records across %d rings, %d spans\n",
+			path, bundle.Meta.Kind, n, len(bundle.Exits), len(bundle.Spans))
+		if data = bundle.Capture; len(data) == 0 {
+			fmt.Fprintln(out, "  no exit stream in this bundle (its campaign ran without Capture)")
 		}
-		if *chromeTo == "" {
-			return nil
+	} else {
+		if data, err = os.ReadFile(path); err != nil {
+			return err
 		}
-		return writeChrome(*chromeTo, func(w io.Writer) error { return flight.WriteChrome(w, b) })
+		fmt.Fprintf(out, "capture %s: %d bytes\n", path, len(data))
 	}
 
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer func() { _ = f.Close() }()
-	summary, err := trace.Summarize(f)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("trace %s: %d events over %v (seq %d..%d)\n",
-		path, summary.Events, summary.Span.Round(time.Millisecond), summary.FirstSeq, summary.LastSeq)
-	fmt.Println("\nevents by type:")
-	types := make([]string, 0, len(summary.ByType))
-	for ty := range summary.ByType {
-		types = append(types, ty)
-	}
-	sort.Strings(types)
-	for _, ty := range types {
-		fmt.Printf("  %-16s %8d\n", ty, summary.ByType[ty])
-	}
-	if len(summary.Syscalls) > 0 {
-		fmt.Println("\ntop system calls:")
-		type kv struct {
-			nr uint32
-			n  int
+	var sum *summary
+	if bundle == nil || len(data) > 0 {
+		var err error
+		if sum, err = summarize(data, bundle == nil && *chromeTo != ""); err != nil {
+			return err
 		}
-		var calls []kv
-		for nr, n := range summary.Syscalls {
-			calls = append(calls, kv{nr, n})
-		}
-		sort.Slice(calls, func(i, j int) bool { return calls[i].n > calls[j].n })
-		for i, c := range calls {
-			if i == 8 {
-				break
-			}
-			fmt.Printf("  %-16v %8d\n", guest.Syscall(c.nr), c.n)
-		}
+		sum.print(out)
 	}
-	fmt.Printf("\ndistinct address spaces observed: %d\n", len(summary.AddrSet))
 
 	if *chromeTo != "" {
-		if _, err := f.Seek(0, 0); err != nil {
+		fill := func(w io.Writer) error { return flight.WriteChrome(w, bundle) }
+		if bundle == nil {
+			fill = func(w io.Writer) error { return flight.ChromeFromEvents(w, sum.events, sum.vmNames()) }
+		}
+		if err := writeTo(*chromeTo, out, fill); err != nil {
 			return err
 		}
-		events, err := trace.Read(f)
-		if err != nil {
-			return err
+		if *chromeTo != "-" {
+			fmt.Fprintln(out, "chrome trace written to", *chromeTo, "(open at https://ui.perfetto.dev)")
 		}
-		if err := writeChrome(*chromeTo, func(w io.Writer) error {
-			return flight.ChromeFromEvents(w, events, nil)
+	}
+	if len(data) == 0 {
+		return nil
+	}
+
+	// Offline judgement: the fleet auditor plane re-driven from the stream,
+	// each VM's GOSHD on the clock its recorded ticks advance.
+	var reg *telemetry.Registry
+	if *metricsTo != "" {
+		reg = telemetry.NewRegistry()
+	}
+	rep, err := experiment.ReplayStream(bytes.NewReader(data),
+		experiment.StreamReplayConfig{Threshold: *threshold, Telemetry: reg})
+	if err != nil {
+		return err
+	}
+	if reg != nil {
+		if err := writeTo(*metricsTo, out, func(w io.Writer) error {
+			snap := reg.Snapshot()
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			return enc.Encode(&snap)
 		}); err != nil {
 			return err
 		}
 	}
-
-	// Offline hang detection.
-	if _, err := f.Seek(0, 0); err != nil {
-		return err
+	alarms := 0
+	for _, vm := range rep.VMs {
+		alarms += vm.Alarms
 	}
-	clock := &vclock.Clock{}
-	det, err := goshd.New(goshd.Config{Clock: clock, VCPUs: *vcpus, Threshold: *threshold})
-	if err != nil {
-		return err
-	}
-	var reg *telemetry.Registry
-	var auditors []core.Auditor
-	if *metricsTo != "" {
-		reg = telemetry.NewRegistry()
-		det.EnableTelemetry(reg)
-		// Count replayed events per type alongside the auditor instruments,
-		// so the snapshot stands alone as a trace profile.
-		byType := make(map[core.EventType]*telemetry.Counter)
-		auditors = append(auditors, &core.AuditorFunc{
-			AuditorName: "trace-meter", EventMask: core.MaskAll,
-			Fn: func(ev *core.Event) {
-				c, ok := byType[ev.Type]
-				if !ok {
-					c = reg.Counter("hypertap_trace_events_total", telemetry.L("type", ev.Type.String()))
-					byType[ev.Type] = c
-				}
-				c.Inc()
-			},
-		})
-	}
-	det.Start()
-	auditors = append(auditors, det)
-	// Tail 0: the end of a finite trace is not evidence of a hang. A real
-	// hang leaves a switch-silence gap *inside* the trace, because timer
-	// interrupts (or the other vCPUs) keep producing events past it.
-	if _, err := trace.ReplayWithClock(f, clock, 0, auditors...); err != nil {
-		return err
-	}
-	if reg != nil {
-		if err := writeMetrics(*metricsTo, reg); err != nil {
-			return err
-		}
-	}
-	alarms := det.Alarms()
-	if len(alarms) == 0 {
-		fmt.Println("\noffline GOSHD: no hangs in this trace")
-		return nil
-	}
-	fmt.Println("\noffline GOSHD findings:")
-	for _, a := range alarms {
-		fmt.Printf("  %v\n", a)
+	fmt.Fprintf(out, "\noffline GOSHD (threshold %v): %d alarms across %d VMs, %d fleetwatch storms, %d divergences\n",
+		*threshold, alarms, len(rep.VMs), rep.Storms, rep.Divergences)
+	for _, vm := range rep.VMs {
+		fmt.Fprintf(out, "  %-12s %8d events  %d goshd alarms\n", vm.Name, vm.Events, vm.Alarms)
 	}
 	return nil
 }

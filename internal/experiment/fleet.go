@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"path/filepath"
 	"strconv"
 	"time"
@@ -396,7 +397,7 @@ type StreamVMReport struct {
 	Alarms int    `json:"goshd_alarms"`
 }
 
-// StreamReplayReport is ReplayIncidentStream's outcome.
+// StreamReplayReport is ReplayStream's outcome.
 type StreamReplayReport struct {
 	Host        string           `json:"host"`
 	VMs         []StreamVMReport `json:"vms"`
@@ -411,9 +412,8 @@ type StreamReplayReport struct {
 // this replays only the decoded stream the auditors consumed, so it works
 // even when the faulting workload cannot be re-run, and it isolates the
 // auditor plane: identical verdicts here plus a diverging ReplayIncident
-// points the investigation at the simulation, not the auditors. The standard
-// unit auditors (per-VM GOSHD, fleet accountant) are registered in campaign
-// order, so verdict spans land in the same rings under the same actor IDs.
+// points the investigation at the simulation, not the auditors. Only
+// cfg.Threshold applies; the stream itself carries the fleet's shape.
 func ReplayIncidentStream(cfg FleetConfig, bundleDir string) (*StreamReplayReport, error) {
 	b, err := flight.LoadBundle(bundleDir)
 	if err != nil {
@@ -423,89 +423,86 @@ func ReplayIncidentStream(cfg FleetConfig, bundleDir string) (*StreamReplayRepor
 		return nil, fmt.Errorf("experiment: bundle %s carries no exit stream (campaign ran without Capture)", bundleDir)
 	}
 	cfg.fillDefaults()
-	// The flight table's resident range comes from the capture header — a v2
-	// (cluster) stream carries sparse VMIDs, so the rings sit at a base, not
-	// at zero. Parse the header alone first; the replay re-reads the stream.
-	pre, err := capture.NewReader(bytes.NewReader(b.Capture))
+	rep, err := ReplayStream(bytes.NewReader(b.Capture), StreamReplayConfig{Threshold: cfg.Threshold})
 	if err != nil {
 		return nil, err
 	}
-	hdr := pre.Header()
-	var fl *core.FlightTable
-	if cfg.FlightDepth >= 0 {
-		base, top := hdr.VMs[0].ID, hdr.VMs[0].ID
-		for _, vm := range hdr.VMs {
-			if vm.ID < base {
-				base = vm.ID
-			}
-			if vm.ID > top {
-				top = vm.ID
-			}
-		}
-		fl = core.NewFlightTable(int(top-base)+1, cfg.FlightDepth, 0)
-		fl.SetVMBase(base)
+	if rep.Host == "" {
+		rep.Host = b.Meta.Context["host"]
 	}
-	rp, err := capture.NewReplay(bytes.NewReader(b.Capture), capture.ReplayConfig{Flight: fl})
+	return rep, nil
+}
+
+// StreamReplayConfig tunes ReplayStream.
+type StreamReplayConfig struct {
+	// Threshold is every VM's GOSHD hang threshold.
+	Threshold time.Duration
+	// Strict fails the replay on the first divergence instead of counting.
+	Strict bool
+	// Telemetry, when set, instruments the replay EM and its auditors.
+	Telemetry *telemetry.Registry
+}
+
+// ReplayStream re-drives the fleet auditor plane from a recorded exit stream
+// (internal/capture format) and reports the verdicts. The standard unit
+// auditors — one VM-scoped GOSHD per recorded VM, then the fleet-wide
+// accountant — register in campaign order, so actor IDs match the live run.
+// It is the one offline judge of a capture: bundle replay, the
+// hypertap-capture CLI and trace-analyze all come through here.
+func ReplayStream(r io.Reader, cfg StreamReplayConfig) (*StreamReplayReport, error) {
+	rp, err := capture.NewReplay(r, capture.ReplayConfig{Strict: cfg.Strict})
 	if err != nil {
 		return nil, err
 	}
 	em := rp.EM()
-	var goshdActor, fwActor uint8
+	hdr := rp.Header()
+	if cfg.Telemetry != nil {
+		em.EnableTelemetry(cfg.Telemetry)
+	}
 	dets := make([]*goshd.Detector, len(hdr.VMs))
-	for j := range dets {
-		vmid := hdr.VMs[j].ID
-		det, derr := goshd.New(goshd.Config{
-			VM:        vmid,
-			Clock:     rp.Clock(vmid),
-			VCPUs:     hdr.VMs[j].VCPUs,
+	for j, vm := range hdr.VMs {
+		// Cluster (v2) captures carry sparse VMIDs — scope each detector to
+		// the header's recorded ID, not the table slot.
+		det, err := goshd.New(goshd.Config{
+			VM:        vm.ID,
+			Clock:     rp.Clock(vm.ID),
+			VCPUs:     vm.VCPUs,
 			Threshold: cfg.Threshold,
-			OnHang: func(a goshd.HangAlarm) {
-				em.RecordSpan(a.Span, vmid, core.PhaseVerdict, goshdActor, a.At)
-			},
 		})
-		if derr != nil {
-			return nil, derr
+		if err != nil {
+			return nil, err
 		}
-		if rerr := em.RegisterAuditor(det, core.DeliverAsync, 0); rerr != nil {
-			return nil, rerr
+		if cfg.Telemetry != nil {
+			det.EnableTelemetry(cfg.Telemetry)
+		}
+		if err := em.RegisterAuditor(det, core.DeliverAsync, 0); err != nil {
+			return nil, err
 		}
 		dets[j] = det
 	}
-	fw := fleetwatch.New(fleetwatch.Config{
-		VMName: em.VMName,
-		OnStorm: func(s fleetwatch.Storm) {
-			em.RecordSpan(s.Span, s.VM, core.PhaseVerdict, fwActor, s.WindowStart)
-		},
-	})
+	fw := fleetwatch.New(fleetwatch.Config{VMName: em.VMName})
+	if cfg.Telemetry != nil {
+		fw.EnableTelemetry(cfg.Telemetry)
+	}
 	if err := em.RegisterAuditor(fw, core.DeliverAsync, 1<<16); err != nil {
 		return nil, err
 	}
-	if id, ok := em.ActorID("goshd"); ok {
-		goshdActor = id
-	}
-	if id, ok := em.ActorID("fleetwatch"); ok {
-		fwActor = id
-	}
-	for j := range dets {
-		dets[j].Start()
+	for _, det := range dets {
+		det.Start()
 	}
 	if err := rp.Run(); err != nil {
 		return nil, err
 	}
-	replayedHost := hdr.Host
-	if replayedHost == "" {
-		replayedHost = b.Meta.Context["host"]
-	}
-	report := &StreamReplayReport{Host: replayedHost, Divergences: rp.Divergences()}
-	for j := range hdr.VMs {
-		vm := StreamVMReport{
-			Name:   hdr.VMs[j].Name,
-			Events: em.PublishedVM(hdr.VMs[j].ID),
+	rep := &StreamReplayReport{Host: hdr.Host, Divergences: rp.Divergences()}
+	for j, vm := range hdr.VMs {
+		v := StreamVMReport{
+			Name:   vm.Name,
+			Events: em.PublishedVM(vm.ID),
 			Alarms: len(dets[j].Alarms()),
 		}
-		report.VMs = append(report.VMs, vm)
-		report.Events += vm.Events
+		rep.VMs = append(rep.VMs, v)
+		rep.Events += v.Events
 	}
-	report.Storms = len(fw.Storms())
-	return report, nil
+	rep.Storms = len(fw.Storms())
+	return rep, nil
 }

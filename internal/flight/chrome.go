@@ -200,9 +200,10 @@ func WriteChrome(w io.Writer, b *Bundle) error {
 	return bld.write(w)
 }
 
-// ChromeFromEvents renders a replayed event stream (a JSONL trace decoded by
-// internal/trace) as Chrome trace-event JSON: one slice per event on its
-// VM's track. vmNames, when non-nil, labels the tracks (index = VMID).
+// ChromeFromEvents renders a recorded event stream (the events of a .htcs
+// capture, decoded by capture.Reader) as Chrome trace-event JSON: one slice
+// per event on its VM's track. vmNames, when non-nil, labels the tracks
+// (index = VMID).
 func ChromeFromEvents(w io.Writer, events []core.Event, vmNames []string) error {
 	bld := &builder{vmNames: vmNames, flowSeen: make(map[core.SpanID]bool)}
 	seen := make(map[core.VMID]bool)

@@ -1,6 +1,7 @@
 package hav
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -357,7 +358,7 @@ func TestPropertyPermAllows(t *testing.T) {
 			p.Allows(AccessExec) == (p&PermExec != 0) &&
 			!p.Allows(Access(0))
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -377,7 +378,7 @@ func TestPropertyEPTViolations(t *testing.T) {
 		}
 		return !ept.Check(page, access)
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }
