@@ -543,8 +543,8 @@ func (m *Multiplexer) Publish(ev *Event) {
 // PublishBatch(evs) leaves every observable — published counters, async
 // rings, flight exit and span rings, sync delivery order, RHC sampler feed,
 // latency-sampling cadence — byte-identical to publishing each event alone,
-// so batch boundaries (an EF decode run, a replay grouping, an SPSC drain
-// segment) are unobservable downstream.
+// so batch boundaries (an EF decode run, a replay grouping) are
+// unobservable downstream.
 //
 // The locked phase runs once per batch: per-event accounting — publish and
 // sync-delivery counters, async queueing, exit-ring recording — with the

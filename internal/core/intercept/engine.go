@@ -97,19 +97,9 @@ type Engine struct {
 	// entryGPA is the protected entry page once armed.
 	entryGPA arch.GPA
 	decoded  map[core.EventType]uint64
-	// batch accumulates decoded events during one HandleExit call.
+	// batch is the reused decode buffer: HandleExit fills it under the
+	// lock and hands it to PublishBatch once after unlock.
 	batch []core.Event
-	// ring is this forwarder's SPSC conduit to the EM: decoded batches are
-	// staged into its preallocated slots under the engine lock (replacing a
-	// per-exit heap copy) and drained into PublishBatch after unlock, so the
-	// EM lock is paid once per decode batch. HandleExit is the sole producer
-	// and sole consumer; on real cores each VM's forwarder owns its ring, so
-	// forwarders never share publish buffers.
-	ring *core.EventRing
-	// spill holds decode overflow on the (never-in-practice) exit whose
-	// batch exceeds the ring; spilled events publish directly after the ring
-	// drains, preserving decode order.
-	spill []core.Event
 	// tap, when set, observes every decoded event just before publication —
 	// the capture plane's recording point (internal/capture).
 	tap core.ExitStreamTap
@@ -131,7 +121,6 @@ func New(cfg Config) *Engine {
 		tssRSP0GPA: make([]arch.GPA, cfg.Control.NumVCPUs()),
 		tssAlerted: make([]bool, cfg.Control.NumVCPUs()),
 		decoded:    make(map[core.EventType]uint64),
-		ring:       core.NewEventRing(0),
 	}
 	if e.now == nil {
 		e.now = func(int) time.Duration { return e.ctl.Now() }
@@ -157,8 +146,18 @@ var _ hav.ExitHandler = (*Engine)(nil)
 // HandleExit implements the Event Forwarder: decode, arm, publish. Decoding
 // runs under the engine lock; publication happens after unlock so that
 // synchronous auditors may safely call back into the engine.
+//
+// After unlock the decode buffer is handed to PublishBatch by reference, so
+// HandleExit must not run concurrently with itself or be re-entered from a
+// synchronous handler. Both hold by construction: hv.Machine.handleExit,
+// driven by hav.VCPU.exit on the VM's one stepping goroutine, is the only
+// caller, and hosts and clusters step their VMs serially. The tap sees every
+// event before the batch publishes, so a capture's record order is exactly
+// the EM's publish order.
+//
+//hypertap:hotpath
 func (e *Engine) HandleExit(exit *hav.Exit) {
-	e.mu.Lock()
+	e.mu.Lock() //hypertap:allow hotpath the engine lock serializes decode against auditor callbacks (CountProcesses, Stats); one acquisition per exit
 	e.batch = e.batch[:0]
 	// Fig. 3C: integrity check on every VM Exit.
 	if e.feat.TSSIntegrity && e.sawFirstCR3 {
@@ -202,56 +201,15 @@ func (e *Engine) HandleExit(exit *hav.Exit) {
 	default:
 		e.publishLocked(exit, core.EvRawExit, nil)
 	}
-	// Stage the decode batch into the SPSC ring while still under the
-	// engine lock (one copy into preallocated slots, where it used to heap-
-	// allocate a fresh slice per exit), then drain after unlock so that
-	// synchronous auditors may safely call back into the engine.
-	staged := 0
-	for i := range e.batch {
-		if !e.ring.Push(&e.batch[i]) {
-			break
-		}
-		staged++
-	}
-	if staged < len(e.batch) {
-		e.spill = append(e.spill[:0], e.batch[staged:]...)
-	}
-	tap := e.tap
+	batch, tap, em := e.batch, e.tap, e.em
 	e.mu.Unlock()
 
-	e.drain(tap)
-}
-
-// drain publishes everything staged for this exit: ring segments first,
-// then any spill, in decode order. The tap sees every event of a segment
-// before the segment publishes, so a capture's record order is exactly the
-// EM's publish order — and because publish batching is transparent (see
-// core.PublishBatch), replaying that capture under any regrouping of the
-// same order is byte-identical. Ring slots are released only after
-// PublishBatch returns: the batch borrows them as its arena.
-func (e *Engine) drain(tap core.ExitStreamTap) {
-	for {
-		seg := e.ring.Peek()
-		if len(seg) == 0 {
-			break
+	if tap != nil {
+		for i := range batch {
+			tap.TapEvent(&batch[i])
 		}
-		if tap != nil {
-			for i := range seg {
-				tap.TapEvent(&seg[i])
-			}
-		}
-		e.em.PublishBatch(seg)
-		e.ring.Release(len(seg))
 	}
-	if len(e.spill) > 0 {
-		if tap != nil {
-			for i := range e.spill {
-				tap.TapEvent(&e.spill[i])
-			}
-		}
-		e.em.PublishBatch(e.spill)
-		e.spill = e.spill[:0]
-	}
+	em.PublishBatch(batch)
 }
 
 // SetTap installs (or, with nil, removes) the decode-time exit-stream tap.
@@ -267,8 +225,8 @@ func (e *Engine) SetTap(tap core.ExitStreamTap) {
 // receiving half of a live migration. Everything else (VM identity, exit
 // sequence, armed algorithms, protection state) is untouched, so SpanIDs
 // minted after the move continue the pre-move sequence. The caller must
-// ensure the VM is quiescent: no HandleExit may be in flight, since drain
-// reads the EM reference outside the engine lock.
+// ensure the VM is quiescent: no HandleExit may be in flight, since one
+// that read the old EM under the lock publishes to it after unlock.
 func (e *Engine) Rebind(em *core.Multiplexer) {
 	e.mu.Lock()
 	e.em = em
@@ -408,23 +366,27 @@ func (e *Engine) publishSyscallLocked(exit *hav.Exit) {
 
 // publishLocked decodes one event into the pending batch. Callers hold e.mu;
 // HandleExit publishes the batch after releasing the lock so synchronous
-// auditors never run under the engine's critical state.
+// auditors never run under the engine's critical state. The event is built
+// in its buffer slot and fill edits it there, so no Event ever reaches the
+// heap on its own.
+//
+//hypertap:hotpath
 func (e *Engine) publishLocked(exit *hav.Exit, t core.EventType, fill func(*core.Event)) {
 	e.decoded[t]++
-	ev := core.Event{
-		Type:       t,
-		VM:         e.vm,
-		VCPU:       exit.VCPU,
-		Seq:        exit.Sequence,
-		Span:       core.MintSpan(e.vm, exit.Sequence, uint8(len(e.batch))),
-		Time:       e.now(exit.VCPU),
-		Regs:       exit.Guest,
-		ExitReason: exit.Reason,
-	}
+	e.batch = append(e.batch, //hypertap:allow hotpath amortized: the decode buffer is reused across exits and stops growing once it fits the largest batch
+		core.Event{ //hypertap:allow hotpath the literal is copied into the buffer slot, never boxed
+			Type:       t,
+			VM:         e.vm,
+			VCPU:       exit.VCPU,
+			Seq:        exit.Sequence,
+			Span:       core.MintSpan(e.vm, exit.Sequence, uint8(len(e.batch))),
+			Time:       e.now(exit.VCPU),
+			Regs:       exit.Guest,
+			ExitReason: exit.Reason,
+		})
 	if fill != nil {
-		fill(&ev)
+		fill(&e.batch[len(e.batch)-1])
 	}
-	e.batch = append(e.batch, ev)
 }
 
 // CountProcesses runs the full Fig. 3A algorithm: sweep the PDBA set,

@@ -1,12 +1,15 @@
 package intercept
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
 	"hypertap/internal/arch"
 	"hypertap/internal/core"
 	"hypertap/internal/hav"
+	"hypertap/internal/telemetry"
 )
 
 // fakeControl is a minimal in-memory VMControl for engine unit tests: two
@@ -363,5 +366,114 @@ func TestStatsSnapshot(t *testing.T) {
 	st.Decoded[core.EvProcessSwitch] = 99
 	if e.Stats().Decoded[core.EvProcessSwitch] != 1 {
 		t.Fatal("Stats leaked internal map")
+	}
+}
+
+// orderTap records the types of the events the engine taps, in tap order.
+type orderTap struct{ seen []core.EventType }
+
+func (o *orderTap) TapEvent(ev *core.Event)        { o.seen = append(o.seen, ev.Type) }
+func (*orderTap) TapTick(core.VMID, time.Duration) {}
+func (*orderTap) TapBarrier(time.Duration)         {}
+
+// TestHandleExitZeroAllocs holds the whole EF→EM path — decode, tap,
+// PublishBatch with flight recording, telemetry and three sync auditors —
+// to zero allocations per exit once the decode buffer has warmed up.
+func TestHandleExitZeroAllocs(t *testing.T) {
+	em := core.NewMultiplexer()
+	vm, err := em.AttachVM("vm-0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	em.SetFlight(core.NewFlightTable(1, 64, 128))
+	em.EnableTelemetry(telemetry.NewRegistry())
+	for i := 0; i < 3; i++ {
+		aud := &core.AuditorFunc{AuditorName: fmt.Sprintf("sync-%d", i), EventMask: core.MaskAll, Fn: func(*core.Event) {}}
+		if err := em.Register(aud, core.DeliverSync, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctl := newFakeControl()
+	ctl.mapped[arch.KernelBase] = 0x3000
+	e := New(Config{Control: ctl, EM: em, VM: vm,
+		Features: Features{ProcessSwitch: true, Syscalls: true, IO: true}})
+	tap := &orderTap{}
+	e.SetTap(tap)
+
+	// The exits are built here, not in the measured closure: boxing a Qual
+	// into the hav.Exit interface field allocates on the caller's side.
+	var regs arch.RegisterFile
+	regs.SetGPR(arch.RAX, 4)
+	exits := []*hav.Exit{
+		cr3Exit(0, 0x9000, 0),
+		{VCPU: 1, Reason: hav.ExitException, Guest: regs,
+			Qual: hav.ExceptionQual{Type: hav.ExcSoftwareInt, Vector: arch.VectorLinuxSyscall}},
+		{VCPU: 0, Reason: hav.ExitIOInstruction, Qual: hav.IOQual{Port: 0x3F8, Write: true, Value: 'x'}},
+		{VCPU: 1, Reason: hav.ExitHLT, Qual: hav.HLTQual{}},
+	}
+	var seq uint64
+	round := func() {
+		tap.seen = tap.seen[:0]
+		for _, x := range exits {
+			seq++
+			x.Sequence = seq
+			e.HandleExit(x)
+		}
+	}
+	round() // grow the decode buffer, tap slice, decoded map and PDBA set
+	if allocs := testing.AllocsPerRun(1000, round); allocs != 0 {
+		t.Fatalf("HandleExit allocates %.1f per %d exits, want 0", allocs, len(exits))
+	}
+	if len(tap.seen) != len(exits) {
+		t.Fatalf("tap saw %d events per round, want %d", len(tap.seen), len(exits))
+	}
+}
+
+// TestHandleExitOneBatchPerExit pins the EF→EM handoff on an exit that
+// decodes two events (a TSS relocation alarm plus the syscall itself): both
+// reach the EM in one PublishBatch, so a sync handler running on the first
+// already sees both counted; the tap sees events in sync delivery order;
+// and a handler may call back into the engine without deadlocking.
+func TestHandleExitOneBatchPerExit(t *testing.T) {
+	e, ctl, delivered := newEngine(t, Features{ProcessSwitch: true, TSSIntegrity: true, Syscalls: true})
+	tap := &orderTap{}
+	e.SetTap(tap)
+	var publishedAtAlarm uint64
+	procs := -1
+	probe := &core.AuditorFunc{AuditorName: "probe", EventMask: core.MaskAll, Fn: func(ev *core.Event) {
+		if ev.Type == core.EvTSSRelocated {
+			publishedAtAlarm = e.em.Published()
+			procs = e.CountProcesses()
+		}
+	}}
+	if err := e.em.Register(probe, core.DeliverSync, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	e.HandleExit(cr3Exit(0, 0x9000, 1))
+	before := e.em.Published()
+	guest := ctl.regs[1]
+	guest.TR += 0x1000
+	guest.SetGPR(arch.RAX, 4)
+	e.HandleExit(&hav.Exit{VCPU: 1, Reason: hav.ExitException, Guest: guest, Sequence: 2,
+		Qual: hav.ExceptionQual{Type: hav.ExcSoftwareInt, Vector: arch.VectorLinuxSyscall}})
+
+	if publishedAtAlarm != before+2 {
+		t.Fatalf("handler on the exit's first event saw %d published, want %d (one batch per exit)",
+			publishedAtAlarm, before+2)
+	}
+	if procs != 1 {
+		t.Fatalf("CountProcesses from a sync handler = %d, want 1", procs)
+	}
+	want := []core.EventType{core.EvProcessSwitch, core.EvTSSRelocated, core.EvSyscall}
+	var got []core.EventType
+	for _, ev := range *delivered {
+		got = append(got, ev.Type)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("sync delivery order = %v, want %v", got, want)
+	}
+	if !reflect.DeepEqual(tap.seen, got) {
+		t.Fatalf("tap order %v differs from sync delivery order %v", tap.seen, got)
 	}
 }
